@@ -38,8 +38,9 @@ type BatchSpec struct {
 	// Topology pins the layout: "linear" (default) or "random".
 	// Ignored when Workloads is set.
 	Topology string `json:"topology"`
-	// Nodes axis: network sizes (default [6]). Ignored when Workloads
-	// is set (each workload defines its own node count).
+	// Nodes axis: network sizes (default [6], each 2 to MaxNodes).
+	// Ignored when Workloads is set (each workload defines its own node
+	// count).
 	Nodes []int `json:"nodes"`
 	// Workloads axis: generated-scenario specs (internal/workload).
 	// When non-empty it replaces the Topology/Nodes/Flows description:
@@ -159,6 +160,9 @@ func (b *BatchSpec) validate() error {
 	for _, n := range b.Nodes {
 		if n < 2 {
 			return fmt.Errorf("batch: network size %d too small (min 2)", n)
+		}
+		if n > MaxNodes {
+			return fmt.Errorf("batch: network size %d too large (max %d, the uint16 node-id space)", n, MaxNodes)
 		}
 	}
 	for _, lt := range b.LossTolerances {

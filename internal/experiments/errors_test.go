@@ -22,6 +22,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 		want string
 	}{
 		{"too few nodes", func(sc *Scenario) { sc.Nodes = 1 }, "nodes"},
+		{"too many nodes", func(sc *Scenario) { sc.Nodes = MaxNodes + 1 }, "nodes: 65537 too large"},
 		{"zero seconds", func(sc *Scenario) { sc.Seconds = 0 }, "seconds"},
 		{"negative speed", func(sc *Scenario) { sc.MobilitySpeed = -1 }, "mobilitySpeed"},
 		{"endpoint out of range", func(sc *Scenario) { sc.Flows[0].Dst = 9 }, "endpoints"},
@@ -51,6 +52,26 @@ func TestScenarioValidationErrors(t *testing.T) {
 	// The base scenario itself must be fine.
 	if _, err := Run(base()); err != nil {
 		t.Fatalf("valid base scenario rejected: %v", err)
+	}
+}
+
+// TestNodeCeiling pins the uint16 node-id ceiling at the scenario and
+// batch entry points: 65,536 nodes is valid, one more is a descriptive
+// error, never a network whose last node aliases node 0.
+func TestNodeCeiling(t *testing.T) {
+	sc := Scenario{
+		Name: "max", Proto: JTP, Topo: Linear, Nodes: MaxNodes, Seconds: 100,
+		Flows: []FlowSpec{{Src: 0, Dst: MaxNodes - 1, StartAt: 10}},
+	}
+	if err := sc.validate(); err != nil {
+		t.Fatalf("%d nodes rejected: %v", MaxNodes, err)
+	}
+	if _, err := ParseBatchSpec([]byte(`{"nodes":[4,65536]}`)); err != nil {
+		t.Fatalf("batch with %d nodes rejected: %v", MaxNodes, err)
+	}
+	_, err := ParseBatchSpec([]byte(`{"nodes":[4,65537]}`))
+	if err == nil || !strings.Contains(err.Error(), "network size 65537 too large") {
+		t.Fatalf("batch with 65537 nodes: %v", err)
 	}
 }
 

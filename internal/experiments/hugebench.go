@@ -4,6 +4,7 @@ import (
 	"github.com/javelen/jtp/internal/campaign"
 	"github.com/javelen/jtp/internal/ijtp"
 	"github.com/javelen/jtp/internal/metrics"
+	"github.com/javelen/jtp/internal/packet"
 )
 
 // This file is the huge bench tier: 1k–65k-node mobile random geometric
@@ -52,8 +53,9 @@ type HugeBenchConfig struct {
 
 // MaxNodes is the hard network-size ceiling: node ids travel in a
 // 2-byte wire field (packet.NodeID is uint16), so 65536 nodes is the
-// largest addressable network. The "100k" tier is therefore capped here.
-const MaxNodes = 1 << 16
+// largest addressable network. The "100k" tier is therefore capped here,
+// and Scenario and batch validation reject anything larger.
+const MaxNodes = packet.MaxNodes
 
 // HugeBenchDefaults returns the huge bench preset: a 1k-node mobile RGG
 // always, a 10k-node one at scale ≥ 0.5, and the 65536-node ceiling

@@ -493,6 +493,9 @@ func (sc *Scenario) validate() error {
 	if sc.Nodes < 2 {
 		return fmt.Errorf("experiments: scenario %q: nodes: %d too small (min 2)", sc.Name, sc.Nodes)
 	}
+	if sc.Nodes > MaxNodes {
+		return fmt.Errorf("experiments: scenario %q: nodes: %d too large (max %d, the uint16 node-id space)", sc.Name, sc.Nodes, MaxNodes)
+	}
 	if sc.Seconds <= 0 {
 		return fmt.Errorf("experiments: scenario %q: seconds: %g not positive (the run would be empty)", sc.Name, sc.Seconds)
 	}

@@ -38,8 +38,10 @@ func (d bruteDir) Linked(a, b packet.NodeID) bool {
 
 // checkAgainstBrute compares the network's cached substrate — Linked,
 // Neighbors, and every router's freshly adopted view — against the
-// brute-force oracle.
-func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
+// brute-force oracle. It returns how many BFS runs the routers' refresh
+// sweep cost, all inside one link-state version: from the third on, the
+// shared cache serves them from its per-version adjacency memo.
+func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) uint64 {
 	t.Helper()
 	brute := bruteDir{nw}
 	n := nw.N()
@@ -68,6 +70,7 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 	}
 	// Every router refreshes now (epoch-cached path) and must match an
 	// uncached reference BFS over the brute-force oracle.
+	ver, computes := nw.Version(), nw.Views().Computes()
 	for i := 0; i < n; i++ {
 		src := packet.NodeID(i)
 		r := nw.Node(src).Router
@@ -85,13 +88,20 @@ func checkAgainstBrute(t *testing.T, tag string, eng *sim.Engine, nw *Network) {
 			}
 		}
 	}
+	if v := nw.Version(); v != ver {
+		t.Fatalf("%s: link-state version moved %d -> %d during the refresh sweep", tag, ver, v)
+	}
+	return nw.Views().Computes() - computes
 }
 
 // TestEpochCachedViewsMatchUncachedBFS is the seeded property test of
 // the epoch substrate: across topology families and mobility seeds —
-// with node failures and draining energy budgets thrown in — the cached
-// adjacency and the shared view cache must be element-identical to
-// brute-force recomputation.
+// with node failures, draining energy budgets and meter resets thrown
+// in — the cached adjacency and the shared view cache must be
+// element-identical to brute-force recomputation. Every liveness change
+// moves the version, so the refresh sweep after it runs one BFS per
+// router in a single fresh version: the adjacency memo is engaged
+// across each kind of change.
 func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 	families := []struct {
 		name  string
@@ -128,8 +138,9 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 				nw.Start()
 				mob.Start()
 				checkAgainstBrute(t, fam.name+"/start", eng, nw)
-				for step := 0; step < 4; step++ {
+				for step := 0; step < 5; step++ {
 					eng.RunFor(700 * sim.Millisecond)
+					liveness := true
 					switch step {
 					case 1:
 						nw.SetDown(packet.NodeID(n-1), true)
@@ -139,8 +150,15 @@ func TestEpochCachedViewsMatchUncachedBFS(t *testing.T) {
 						nw.Node(1).Meter.ChargeTx(1.0)
 					case 3:
 						nw.SetDown(packet.NodeID(n-1), false)
+					case 4:
+						// End of warm-up: node 1's battery revives.
+						nw.ResetMeters()
+					default:
+						liveness = false
 					}
-					checkAgainstBrute(t, fam.name+"/step", eng, nw)
+					if bfs := checkAgainstBrute(t, fam.name+"/step", eng, nw); liveness && bfs < uint64(n) {
+						t.Fatalf("step %d: %d BFS runs in the version after a liveness change, want one per router (%d)", step, bfs, n)
+					}
 				}
 			})
 		}

@@ -195,6 +195,11 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.Topo == nil || cfg.Topo.N() == 0 {
 		panic("node: Config.Topo must have at least one node")
 	}
+	if cfg.Topo.N() > packet.MaxNodes {
+		// Callers validate sizes first; only a bug reaches here, and
+		// packet.NodeID(i) would alias node i-65536.
+		panic(fmt.Sprintf("node: %d nodes exceed the %d-node id space", cfg.Topo.N(), packet.MaxNodes))
+	}
 	if cfg.MaxHops <= 0 {
 		cfg.MaxHops = 4 * cfg.Topo.N()
 	}

@@ -289,3 +289,20 @@ func TestBudgetsLengthMismatchPanics(t *testing.T) {
 		Budgets: []float64{1},
 	})
 }
+
+// TestNewPanicsPastNodeIDSpace: validation upstream rejects networks
+// past 65,536 nodes, so node.New reaching one is a bug, and it must stop
+// rather than alias node 65536 onto node 0.
+func TestNewPanicsPastNodeIDSpace(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 65537 nodes")
+		}
+	}()
+	New(sim.NewEngine(1), Config{
+		Topo:    topology.Linear(packet.MaxNodes+1, 80),
+		Channel: channel.Defaults(),
+		MAC:     mac.Defaults(),
+		Energy:  energy.JAVeLEN(),
+	})
+}

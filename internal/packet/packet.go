@@ -44,6 +44,11 @@ import (
 // NodeID addresses a node, as carried in JTP headers.
 type NodeID uint16
 
+// MaxNodes is the largest addressable network: node ids travel in a
+// 2-byte wire field, so a network holds at most 65,536 nodes (ids 0 to
+// 65535). A larger node index would silently alias a smaller one.
+const MaxNodes = 1 << 16
+
 // String formats the id as "n<k>".
 func (id NodeID) String() string { return fmt.Sprintf("n%d", uint16(id)) }
 

@@ -188,6 +188,10 @@ func resizeInts(s []int32, n int) []int32 {
 //   - Validity is keyed on VersionedDirectory.Version. A directory
 //     without version reporting gets no memoization — every Fill
 //     recomputes — but still benefits from the NeighborDirectory BFS.
+//   - A directory that is both versioned and a NeighborDirectory also
+//     gets its neighbor rows memoized per version (adjMemo), so the
+//     dozens of BFS runs one version may serve read each row from the
+//     directory at most memoFrom times.
 //
 // Fill is serialized by an internal mutex: inside the partitioned
 // kernel's parallel windows (sim/kernel.go), on-demand routers on
@@ -219,6 +223,79 @@ type Cache struct {
 	evictions uint64
 	freeNext  [][]packet.NodeID
 	freeHops  [][]int32
+	// adj memoizes neighbor rows within the current version; engaged
+	// only for directories that both enumerate neighbors and report a
+	// version (adj.dir non-nil).
+	adj adjMemo
+}
+
+// adjMemo memoizes a NeighborDirectory's rows within one link-state
+// version. The VersionedDirectory contract makes equal versions mean
+// identical Linked answers, hence identical Neighbors rows, so a row
+// read once can serve every later BFS of the same version without
+// asking the directory again (in the node package, each ask re-filters
+// the row through live failure and battery checks).
+//
+// It engages only when a version serves its memoFrom-th BFS. A copied
+// row pays off only if a later BFS of the same version reads it, and
+// networks whose routers refresh on demand run one or two BFS per
+// version (measured at 1k to 65,536 nodes), so they read the directory
+// directly and never grow the arena; eagerly refreshed meshes run
+// dozens per version. Once engaged, rows are copied lazily, on first
+// touch, into one flat arena; the arena is truncated, not freed, when
+// the next version engages, so its capacity is bounded by the directed
+// edges of the largest engaged version.
+type adjMemo struct {
+	dir   NeighborDirectory
+	runs  int    // BFS runs served in the current version
+	gen   uint64 // stamp of the rows memoized in the current version
+	rows  []memoRow
+	arena []packet.NodeID
+}
+
+// memoFrom is the per-version BFS run at which adjMemo engages.
+const memoFrom = 3
+
+// memoRow locates one memoized row in the arena. uint32 offsets are
+// exact: at most 65,536 nodes (the uint16 id space) have fewer than
+// 2^32 directed edges between them.
+type memoRow struct {
+	gen    uint64 // valid only when equal to adjMemo.gen
+	off, n uint32
+}
+
+// next returns the directory the next BFS of the current version reads:
+// the bare directory before the memoFrom-th BFS, the memo from then on.
+// n is the node count.
+func (m *adjMemo) next(n int) Directory {
+	m.runs++
+	if m.runs < memoFrom {
+		return m.dir
+	}
+	if m.runs == memoFrom {
+		m.gen++
+		m.arena = m.arena[:0]
+		if len(m.rows) < n {
+			m.rows = append(m.rows, make([]memoRow, n-len(m.rows))...)
+		}
+	}
+	return m
+}
+
+func (m *adjMemo) N() int                         { return m.dir.N() }
+func (m *adjMemo) Linked(a, b packet.NodeID) bool { return m.dir.Linked(a, b) }
+
+// Neighbors returns u's row for the current version, copying it from
+// the directory on first touch. The returned slice is capped at its
+// length, so nothing can append through it into the next row.
+func (m *adjMemo) Neighbors(u packet.NodeID) []packet.NodeID {
+	r := &m.rows[int(u)]
+	if r.gen != m.gen {
+		row := m.dir.Neighbors(u)
+		*r = memoRow{gen: m.gen, off: uint32(len(m.arena)), n: uint32(len(row))}
+		m.arena = append(m.arena, row...)
+	}
+	return m.arena[r.off : r.off+r.n : r.off+r.n]
 }
 
 // cacheEntry is one source's memoized view.
@@ -233,6 +310,9 @@ type cacheEntry struct {
 func NewCache(dir Directory) *Cache {
 	c := &Cache{dir: dir}
 	c.vdir, _ = dir.(VersionedDirectory)
+	if ndir, ok := dir.(NeighborDirectory); ok && c.vdir != nil {
+		c.adj.dir = ndir
+	}
 	return c
 }
 
@@ -263,7 +343,8 @@ func (c *Cache) Evictions() uint64 {
 // recycling its arrays, so cache memory is bounded by the sources active
 // in the current version (plus the free lists, bounded by the peak
 // active-source count) instead of growing with every source ever routed
-// across the run.
+// across the run. It also restarts the adjacency memo's BFS count, so
+// the new version's rows are read afresh.
 func (c *Cache) sweep(fresh uint64) {
 	for i := range c.ent {
 		e := &c.ent[i]
@@ -279,6 +360,7 @@ func (c *Cache) sweep(fresh uint64) {
 		c.evictions++
 	}
 	c.sweepVer = fresh
+	c.adj.runs = 0
 }
 
 // Fill produces the current view from src into v (allocating one if v is
@@ -316,8 +398,12 @@ func (c *Cache) Fill(v *View, src packet.NodeID, at sim.Time) *View {
 				e.hops, c.freeHops = c.freeHops[k-1], c.freeHops[:k-1]
 			}
 		}
+		dir := c.dir
+		if c.adj.dir != nil {
+			dir = c.adj.next(n)
+		}
 		c.view.next, c.view.hops = e.next, e.hops
-		buildViewInto(&c.view, c.scratch, c.dir, src, at)
+		buildViewInto(&c.view, c.scratch, dir, src, at)
 		e.next, e.hops = c.view.next, c.view.hops
 		e.version, e.valid = fresh, true
 		c.computes++

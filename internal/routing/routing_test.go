@@ -386,6 +386,148 @@ func TestCacheEvictsSupersededVersions(t *testing.T) {
 	}
 }
 
+// countDir is a verDir that counts the Neighbors rows it serves, per
+// row, so tests can see which BFS runs read the directory and which
+// read the per-version adjacency memo.
+type countDir struct {
+	*verDir
+	reads []int
+}
+
+func newCountDir(seed int64, n int) *countDir {
+	d := &countDir{verDir: &verDir{gridDir: newDir(n)}, reads: make([]int, n)}
+	rnd := sim.NewEngine(seed).Rand()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if j == i+1 || rnd.Float64() < 0.15 { // connected: a chain plus chords
+				d.link(packet.NodeID(i), packet.NodeID(j))
+			}
+		}
+	}
+	return d
+}
+
+func (d *countDir) Neighbors(u packet.NodeID) []packet.NodeID {
+	d.reads[int(u)]++
+	return d.verDir.Neighbors(u)
+}
+
+func (d *countDir) total() int {
+	t := 0
+	for _, r := range d.reads {
+		t += r
+	}
+	return t
+}
+
+// requireFillsMatchReference fills every source through c and compares
+// each view with the O(V²) reference BFS over the same graph.
+func requireFillsMatchReference(t *testing.T, tag string, c *Cache, d Directory) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	for src := 0; src < d.N(); src++ {
+		got := c.Fill(nil, packet.NodeID(src), eng.Now())
+		want := buildView(plainDir{d}, packet.NodeID(src), eng.Now())
+		requireViewsEqual(t, tag, d.N(), got, want)
+	}
+}
+
+// TestAdjacencyMemoReusesRowsAcrossSources: within one version, the
+// first memoFrom-1 BFS runs read the directory, the memoFrom-th copies
+// each row it touches, and every later BFS — for any source — reads
+// the memo, asking the directory for nothing.
+func TestAdjacencyMemoReusesRowsAcrossSources(t *testing.T) {
+	eng := sim.NewEngine(1)
+	const n = 24
+	d := newCountDir(3, n)
+	c := NewCache(d)
+	for src := 0; src < memoFrom; src++ {
+		c.Fill(nil, packet.NodeID(src), eng.Now())
+	}
+	for u, r := range d.reads {
+		if r != memoFrom {
+			t.Fatalf("row %d read %d times by %d BFS runs, want once each", u, r, memoFrom)
+		}
+	}
+	requireFillsMatchReference(t, "memo", c, d)
+	if got := d.total(); got != memoFrom*n {
+		t.Fatalf("directory served %d rows, want %d: later BFS runs re-read rows", got, memoFrom*n)
+	}
+	if c.Computes() != n {
+		t.Fatalf("computes=%d, want %d", c.Computes(), n)
+	}
+}
+
+// TestAdjacencyMemoInvalidatedByVersionBump: after a version bump every
+// memoized row is stale — the next engaged BFS re-reads each row, and
+// views built from the memo see the new topology.
+func TestAdjacencyMemoInvalidatedByVersionBump(t *testing.T) {
+	const n = 20
+	d := newCountDir(5, n)
+	c := NewCache(d)
+	requireFillsMatchReference(t, "v0", c, d)
+	if got := d.total(); got != memoFrom*n {
+		t.Fatalf("v0 read %d rows, want %d", got, memoFrom*n)
+	}
+	// Unchanged graph, new version: the rows must be read again.
+	d.ver++
+	requireFillsMatchReference(t, "v1", c, d)
+	if got := d.total(); got != 2*memoFrom*n {
+		t.Fatalf("after a bare version bump the directory served %d rows, want %d", got, 2*memoFrom*n)
+	}
+	// Changed graph: cut the chain at every third link and add a chord,
+	// so stale rows would route through missing links.
+	for i := 0; i+1 < n; i += 3 {
+		d.unlink(packet.NodeID(i), packet.NodeID(i+1))
+	}
+	d.link(0, n-1)
+	d.ver++
+	requireFillsMatchReference(t, "v2", c, d)
+}
+
+// verOnly is a versioned directory with no neighbor enumeration.
+type verOnly struct{ d *verDir }
+
+func (p verOnly) N() int                         { return p.d.N() }
+func (p verOnly) Linked(a, b packet.NodeID) bool { return p.d.Linked(a, b) }
+func (p verOnly) Version() uint64                { return p.d.ver }
+
+// nbrOnly enumerates neighbors but reports no version.
+type nbrOnly struct{ d *countDir }
+
+func (p nbrOnly) N() int                                    { return p.d.N() }
+func (p nbrOnly) Linked(a, b packet.NodeID) bool            { return p.d.Linked(a, b) }
+func (p nbrOnly) Neighbors(u packet.NodeID) []packet.NodeID { return p.d.Neighbors(u) }
+
+// TestAdjacencyMemoNeedsBothExtensions: a directory without neighbor
+// enumeration or without versioning never engages the memo — the
+// former probes Linked as before, the latter reads every row from the
+// directory on every BFS and sees unversioned changes immediately.
+func TestAdjacencyMemoNeedsBothExtensions(t *testing.T) {
+	const n = 16
+	vd := verOnly{newCountDir(7, n).verDir}
+	c := NewCache(vd)
+	requireFillsMatchReference(t, "versioned", c, vd)
+	if c.adj.dir != nil || c.adj.rows != nil {
+		t.Fatal("memo engaged for a directory without Neighbors")
+	}
+
+	cd := newCountDir(7, n)
+	nd := nbrOnly{cd}
+	c = NewCache(nd)
+	requireFillsMatchReference(t, "unversioned", c, nd)
+	if c.adj.dir != nil || c.adj.rows != nil {
+		t.Fatal("memo engaged for a directory without Version")
+	}
+	if got := cd.total(); got != n*n {
+		t.Fatalf("directory served %d rows over %d BFS runs, want %d", got, n, n*n)
+	}
+	cd.unlink(0, 1)
+	cd.unlink(1, 2)
+	cd.link(0, 2)
+	requireFillsMatchReference(t, "unversioned-changed", c, nd)
+}
+
 // TestOnDemandRouter pins Config.OnDemand: Start computes nothing, the
 // view materializes at first use, stays within a refresh period, and
 // refreshes once the held view is UpdatePeriod old.

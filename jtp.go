@@ -75,7 +75,7 @@ type Position struct {
 // SimConfig assembles a simulated JAVeLEN network.
 type SimConfig struct {
 	// Nodes is the network size (required unless Positions is set,
-	// >= 2).
+	// 2 to 65,536: node ids are 16 bits on the wire).
 	Nodes int
 	// Topology selects the layout (default LinearTopology).
 	Topology TopologyKind
@@ -188,6 +188,9 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	}
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 nodes, got %d", ErrBadConfig, cfg.Nodes)
+	}
+	if cfg.Nodes > packet.MaxNodes {
+		return nil, fmt.Errorf("%w: %d nodes exceed the %d-node id space", ErrBadConfig, cfg.Nodes, packet.MaxNodes)
 	}
 	seed := cfg.Seed
 	if seed == 0 {

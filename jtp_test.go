@@ -2,6 +2,7 @@ package jtp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +12,19 @@ func TestNewSimValidation(t *testing.T) {
 	}
 	if _, err := NewSim(SimConfig{Nodes: 5, Topology: TopologyKind(99)}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad topology kind: %v", err)
+	}
+	// Node ids are 16 bits on the wire: a 65,537-node network would alias
+	// node 65536 onto node 0, however its size is given.
+	_, err := NewSim(SimConfig{Nodes: 1<<16 + 1})
+	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "65537 nodes") {
+		t.Fatalf("65537 nodes: %v", err)
+	}
+	pos := make([]Position, 1<<16+1)
+	for i := range pos {
+		pos[i] = Position{X: float64(i)}
+	}
+	if _, err := NewSim(SimConfig{Positions: pos}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("65537 explicit positions: %v", err)
 	}
 }
 
