@@ -86,10 +86,9 @@ type BenchReport struct {
 	// KernelPar through KernelTelemetry are the huge preset's two-arm
 	// fields (BENCH_PR9.json). The preset interleaves two arms: a
 	// serial-baseline arm on the classic engine with the pre-PR9 costs
-	// reconstructed (eager per-node cache RNG, mirror-walk row patches,
-	// full-adjacency endpoint BFS), and a parallel-kernel arm at
-	// KernelPar spatial partitions; each arm keeps its best wall of two
-	// repetitions. The headline Runs/WallSeconds measure the kernel arm;
+	// reconstructed (eager per-node cache RNG, full-adjacency endpoint
+	// BFS), and a parallel-kernel arm at KernelPar spatial partitions;
+	// each arm keeps its best wall of two repetitions. The headline Runs/WallSeconds measure the kernel arm;
 	// Speedup is serial wall over kernel wall, and `bench -check` gates
 	// it at ≥2×.
 	KernelPar         int     `json:"kernel_par,omitempty"`

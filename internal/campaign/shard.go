@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,11 +41,19 @@ func (s Shard) norm() Shard {
 	return s
 }
 
+// MaxShards caps the shard count. Merges size their bookkeeping by the
+// count read from shard files, so it must be bounded; a million shards
+// is far beyond any campaign's cell count.
+const MaxShards = 1 << 20
+
 // Validate rejects impossible shard coordinates.
 func (s Shard) Validate() error {
 	s = s.norm()
 	if s.Of < 1 {
 		return fmt.Errorf("campaign: shard count %d < 1", s.Of)
+	}
+	if s.Of > MaxShards {
+		return fmt.Errorf("campaign: shard count %d exceeds %d", s.Of, MaxShards)
 	}
 	if s.Index < 0 || s.Index >= s.Of {
 		return fmt.Errorf("campaign: shard index %d outside [0,%d)", s.Index, s.Of)
@@ -86,12 +95,6 @@ func ParseShard(v string) (Shard, error) {
 func (s Shard) CellRange(numCells int) (lo, hi int) {
 	s = s.norm()
 	return s.Index * numCells / s.Of, (s.Index + 1) * numCells / s.Of
-}
-
-// selects reports whether the shard owns the given cell.
-func (s Shard) selects(cellIndex, numCells int) bool {
-	lo, hi := s.CellRange(numCells)
-	return cellIndex >= lo && cellIndex < hi
 }
 
 // filterSpecs returns the sub-slice of the expanded run list this shard
@@ -185,6 +188,21 @@ func shardCellState(index int, c *CellResult) ShardCell {
 		}
 	}
 	return sc
+}
+
+// validate rejects counts and accumulator states no campaign produces:
+// negative run counts, and negative n or m2 (the sum of squared
+// deviations), which would render as NaN confidence intervals.
+func (sc *ShardCell) validate() error {
+	if sc.Runs < 0 || sc.Failures < 0 {
+		return fmt.Errorf("negative run count (%d runs, %d failures)", sc.Runs, sc.Failures)
+	}
+	for _, k := range sortedKeys(sc.Observables) {
+		if st := sc.Observables[k]; st.N < 0 || st.M2 < 0 {
+			return fmt.Errorf("observable %q has impossible state n=%d m2=%v", k, st.N, st.M2)
+		}
+	}
+	return nil
 }
 
 // restoreInto loads the shard cell's state into a CellResult that was
@@ -286,9 +304,11 @@ func (g *MergeGaps) Complete() bool { return len(g.Missing) == 0 }
 // merge too (their zero-run cells stay zero-run, Interrupted sums), so
 // partial sweeps still produce a coherent partial report.
 //
-// Validation is strict: a duplicate shard index, two files claiming the
-// same cell (overlapping cell ranges), a campaign/axis/shape mismatch,
-// or disagreeing matrix fingerprints each return a descriptive error —
+// Validation is strict: impossible shard coordinates or matrix shape, a
+// duplicate shard index, a file whose cells are not exactly the ones its
+// shard owns, two files claiming the same cell (overlapping cell
+// ranges), a campaign/axis/shape mismatch, or disagreeing matrix
+// fingerprints each return a descriptive error —
 // these only arise from mixing files of different campaigns or from
 // corruption, and folding them would produce silently wrong aggregates.
 func MergeReports(files ...*ShardFile) (*Report, error) {
@@ -324,7 +344,18 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 		return nil, nil, fmt.Errorf("campaign: merge: no shard files")
 	}
 	first := files[0]
+	// Shard files come from disk, so every coordinate is checked before
+	// it sizes or indexes anything below.
+	for _, f := range files {
+		if err := f.Shard.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("campaign: merge: %w", err)
+		}
+	}
 	of := first.Shard.norm().Of
+	if first.NumCells < 0 || first.RunsPerCell < 0 || first.NumCells > math.MaxInt/of {
+		return nil, nil, fmt.Errorf("campaign: merge: impossible matrix shape (%d×%d cells×runs in %d shards)",
+			first.NumCells, first.RunsPerCell, of)
+	}
 	fingerprint := ""
 	seen := make([]bool, of)
 	for _, f := range files {
@@ -360,7 +391,8 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 		seen[sh.Index] = true
 	}
 
-	// Merge in ascending shard index order for deterministic traversal.
+	// Merge in ascending shard index order: cell ranges ascend with the
+	// shard index, so the covered cells come out in cell-index order.
 	sorted := append([]*ShardFile{}, files...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return sorted[i].Shard.norm().Index < sorted[j].Shard.norm().Index
@@ -372,34 +404,48 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 		RunsPerCell: first.RunsPerCell,
 		Fingerprint: fingerprint,
 	}
-	cells := make([]*CellResult, first.NumCells)
-	owner := make([]*ShardFile, first.NumCells)
 	for _, f := range sorted {
+		sh := f.Shard.norm()
+		lo, hi := sh.CellRange(first.NumCells)
+		// A shard file carries exactly the cells its shard owns, zero-run
+		// ones included; anything else is corruption, not a gap. Checking
+		// the count first keeps the merge's memory bounded by its input.
+		if len(f.Cells) != hi-lo {
+			return nil, nil, fmt.Errorf("campaign: merge: shard %s carries %d cells, owns %d (corrupt shard set)",
+				sh, len(f.Cells), hi-lo)
+		}
 		rep.Runs += f.Runs
 		rep.Failures += f.Failures
 		rep.Interrupted += f.Interrupted
+		owned := make([]*CellResult, hi-lo)
 		for i := range f.Cells {
 			sc := &f.Cells[i]
-			if sc.Index < 0 || sc.Index >= first.NumCells {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell index %d outside [0,%d)",
-					f.Shard.norm(), sc.Index, first.NumCells)
+			if sc.Index < lo || sc.Index >= hi {
+				if other := ownerOf(sc.Index, first.NumCells, of); other >= 0 && seen[other] {
+					return nil, nil, fmt.Errorf("campaign: merge: shards %s and %s both claim cell %d (overlapping cell ranges; mixed or corrupt shard set)",
+						Shard{Index: other, Of: of}, sh, sc.Index)
+				}
+				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell index %d outside its range [%d,%d)",
+					sh, sc.Index, lo, hi)
 			}
 			if len(sc.Values) != len(first.Axes) {
 				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell %d has %d values for %d axes",
-					f.Shard.norm(), sc.Index, len(sc.Values), len(first.Axes))
+					sh, sc.Index, len(sc.Values), len(first.Axes))
 			}
-			if prev := owner[sc.Index]; prev != nil {
-				return nil, nil, fmt.Errorf("campaign: merge: shards %s and %s both claim cell %d (overlapping cell ranges; mixed or corrupt shard set)",
-					prev.Shard.norm(), f.Shard.norm(), sc.Index)
+			if err := sc.validate(); err != nil {
+				return nil, nil, fmt.Errorf("campaign: merge: shard %s cell %d: %w", sh, sc.Index, err)
 			}
-			owner[sc.Index] = f
+			if owned[sc.Index-lo] != nil {
+				return nil, nil, fmt.Errorf("campaign: merge: shard %s lists cell %d twice (corrupt shard set)", sh, sc.Index)
+			}
 			c := &CellResult{
 				Cell: cellFromStrings(first.Axes, sc.Values),
 				obs:  map[string]*stats.Running{},
 			}
 			sc.restoreInto(c)
-			cells[sc.Index] = c
+			owned[sc.Index-lo] = c
 		}
+		rep.Cells = append(rep.Cells, owned...)
 	}
 
 	gaps := &MergeGaps{Of: of}
@@ -411,22 +457,17 @@ func MergeAvailable(files ...*ShardFile) (*Report, *MergeGaps, error) {
 			gaps.MissingRuns += (hi - lo) * first.RunsPerCell
 		}
 	}
-	// A present shard that failed to cover one of its own cells is
-	// corruption, not a gap: cell-granular shard files always carry
-	// every owned cell, even zero-run ones.
-	for i, c := range cells {
-		if c == nil {
-			// Inverse of CellRange: the owning shard of cell i is the
-			// largest idx with idx*numCells/of <= i.
-			idx := ((i+1)*of - 1) / first.NumCells
-			if sh := (Shard{Index: idx, Of: of}); seen[idx] && sh.selects(i, first.NumCells) {
-				return nil, nil, fmt.Errorf("campaign: merge: shard %s did not cover its cell %d (corrupt shard set)", sh, i)
-			}
-			continue
-		}
-		rep.Cells = append(rep.Cells, c)
-	}
 	return rep, gaps, nil
+}
+
+// ownerOf returns the shard of an of-way split that owns cell i of
+// numCells, or -1 when i is outside the matrix. It inverts CellRange:
+// the owner is the largest idx with idx*numCells/of <= i.
+func ownerOf(i, numCells, of int) int {
+	if i < 0 || i >= numCells {
+		return -1
+	}
+	return ((i+1)*of - 1) / numCells
 }
 
 // cellFromStrings rebuilds a Cell from canonical formatted values.

@@ -244,6 +244,18 @@ func TestMergeReportsValidation(t *testing.T) {
 	if _, err := MergeReports(bad, s1, s2); err == nil {
 		t.Error("version mismatch accepted")
 	}
+	// Damaged shard coordinates read from disk must be refused, not
+	// indexed: an index past the count, and a negative count.
+	for _, sh := range []Shard{{Index: 1, Of: 1}, {Index: 0, Of: -2}} {
+		f := *s0
+		f.Shard = sh
+		if _, err := MergeReports(&f); err == nil {
+			t.Errorf("shard %d/%d accepted by MergeReports", sh.Index, sh.Of)
+		}
+		if _, _, err := MergeAvailable(&f); err == nil {
+			t.Errorf("shard %d/%d accepted by MergeAvailable", sh.Index, sh.Of)
+		}
+	}
 	if rep, err := MergeReports(s2, s0, s1); err != nil || rep.Runs != m.NumRuns() {
 		t.Errorf("full merge failed: %v (runs=%v)", err, rep)
 	}

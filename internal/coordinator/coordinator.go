@@ -271,8 +271,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.WorkerArgs) == 0 {
 		return nil, fmt.Errorf("coordinator: empty WorkerArgs")
 	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("coordinator: shard count %d < 1", cfg.Shards)
+	if cfg.Shards < 1 || cfg.Shards > campaign.MaxShards {
+		return nil, fmt.Errorf("coordinator: shard count %d outside [1,%d]", cfg.Shards, campaign.MaxShards)
 	}
 	if cfg.OutDir == "" {
 		return nil, fmt.Errorf("coordinator: empty OutDir")
@@ -339,7 +339,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 
 	ticker := time.NewTicker(c.cfg.poll())
 	defer ticker.Stop()
-	var supErr error  // first infrastructure error (journal write), fatal
+	var supErr error   // first infrastructure error (journal write), fatal
 	cancelled := false // ctx cancelled before the campaign finished
 
 loop:

@@ -45,9 +45,9 @@ type HugeBenchConfig struct {
 	// LegacyBaseline reconstructs the historical serial engine for the
 	// baseline arm the `bench -preset huge` speedup gate measures
 	// against: eager per-node cache-RNG construction
-	// (ijtp.Config.EagerCacheRNG), duplicate patch-row quality
-	// arithmetic, and full-adjacency endpoint/connectivity BFS
-	// (Scenario.LegacyBaseline). Results are identical either way.
+	// (ijtp.Config.EagerCacheRNG) and full-adjacency
+	// endpoint/connectivity BFS (Scenario.LegacyBaseline). Results are
+	// identical either way.
 	LegacyBaseline bool
 }
 

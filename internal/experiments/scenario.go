@@ -122,8 +122,7 @@ type Scenario struct {
 	// worker interleaving); transports fall back to plain allocation.
 	KernelPartitions int
 	// LegacyBaseline prices the historical serial engine inside the
-	// current binary, for the bench harness's baseline arm: duplicate
-	// patch-row quality arithmetic (node.Config.LegacyPatchQual) and the
+	// current binary, for the bench harness's baseline arm: the
 	// full-adjacency materialization endpoint placement and the
 	// connectivity check used to pay before the lazy grid BFS. Every
 	// result byte is identical either way; only wall-clock differs.
@@ -377,8 +376,6 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 		Routing: rtCfg,
 		Energy:  energy.JAVeLEN(),
 		Budgets: sc.EnergyBudgets,
-
-		LegacyPatchQual: sc.LegacyBaseline,
 	})
 
 	// All scenario traffic comes from the built-in drivers, whose

@@ -100,11 +100,6 @@ type LinkInfo struct {
 	// LossRate is the MAC's current loss-probability estimate for this
 	// link (Algorithm 1's getLinkLossRate).
 	LossRate float64
-	// Quality is the distance-based link quality in [0, 1] from the
-	// network's epoch-cached link-state snapshot (channel.Quality): 1 at
-	// zero distance, 0 at the edge of range or when the link is gone.
-	// Plugins read it instead of recomputing positions and distances.
-	Quality float64
 	// AvailRate is this node's effective available transmission rate in
 	// packets/s, already normalized by the average number of link-layer
 	// attempts per packet (§2.1.1's getAvailableRate / AvLinkLayerAttempts).
@@ -113,6 +108,22 @@ type LinkInfo struct {
 	// packets/s (its TDMA share); AvailRate/SlotShare measures how
 	// lightly loaded the node is.
 	SlotShare float64
+
+	// env answers Quality; nil in a hand-built LinkInfo.
+	env Env
+}
+
+// Quality returns the distance-based quality of the From→To link in
+// [0, 1] (channel.Quality over the current positions): 1 at zero
+// distance, 0 at the edge of range or when the link is gone. It is
+// computed when called, so the per-attempt path pays nothing for
+// plugins that never ask; call it inside the plugin hook, while the
+// positions are the attempt's.
+func (l LinkInfo) Quality() float64 {
+	if l.env == nil {
+		return 0
+	}
+	return l.env.LinkQuality(l.From, l.To)
 }
 
 // Plugin observes and modifies frames at the air interface. iJTP is the
@@ -231,9 +242,7 @@ type Env interface {
 	// from (under mobility this changes over time).
 	Reachable(from, to packet.NodeID) bool
 	// LinkQuality returns the distance-based quality of the from→to link
-	// in [0, 1], 0 when unlinked. The node layer answers from its
-	// epoch-cached link-state snapshot, so per-attempt reads cost no
-	// distance computation.
+	// in [0, 1], 0 when unlinked.
 	LinkQuality(from, to packet.NodeID) float64
 	// TransmitsAllowed reports whether the node's radio is operational;
 	// a failed node's owned slots are wasted.
@@ -495,9 +504,9 @@ func (m *MAC) linkInfo(fr *Frame) LinkInfo {
 		FirstAttempt: fr.Attempts == 0,
 		AttemptCost:  m.model.TxCost(size) + m.model.RxCost(size),
 		LossRate:     fr.ls.loss.Value(),
-		Quality:      m.env.LinkQuality(m.id, fr.To),
 		AvailRate:    m.EffectiveAvailRate(),
 		SlotShare:    m.ownSlotRate,
+		env:          m.env,
 	}
 }
 
@@ -622,9 +631,9 @@ func (m *MAC) receive(fr *Frame) {
 		To:          m.id,
 		AttemptCost: m.model.TxCost(fr.Seg.Size()) + m.model.RxCost(fr.Seg.Size()),
 		LossRate:    m.LinkLossRate(fr.From),
-		Quality:     m.env.LinkQuality(fr.From, m.id),
 		AvailRate:   m.EffectiveAvailRate(),
 		SlotShare:   m.ownSlotRate,
+		env:         m.env,
 	}
 	for _, p := range m.plugins {
 		p.PostRcv(fr, info)

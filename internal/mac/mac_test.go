@@ -126,6 +126,10 @@ func TestPluginControlsAttempts(t *testing.T) {
 		if link.FirstAttempt {
 			fr.MaxAttempts = 4
 		}
+		// Quality is read on demand from the environment.
+		if q := link.Quality(); q != 1 {
+			t.Errorf("link quality %v, the environment says 1", q)
+		}
 		return Continue
 	}})
 	m0.Enqueue(&stubSeg{size: 100, dst: 1}, 1)
@@ -134,6 +138,9 @@ func TestPluginControlsAttempts(t *testing.T) {
 	}
 	if len(env.delivered) != 1 {
 		t.Fatalf("4th attempt should succeed after 3 failures, delivered=%d", len(env.delivered))
+	}
+	if q := (LinkInfo{}).Quality(); q != 0 {
+		t.Errorf("hand-built LinkInfo quality %v, want 0", q)
 	}
 }
 

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/javelen/jtp/internal/channel"
@@ -244,10 +246,15 @@ func TestAllocsLinkPatchWithinCell(t *testing.T) {
 }
 
 // TestPatchedSnapshotQualityMatchesRebuild drives mobility through the
-// incremental patch path and pins every cached link quality bit-exact
-// against a second network built fresh at the same positions (whose
-// snapshot can only come from a full rebuild). Neighbor sets are pinned
-// by the brute-force property suite; this adds the quality plane.
+// incremental patch path and pins LinkQuality for every ordered pair
+// bit-exact against a brute-force oracle computed here from positions
+// alone: channel.Quality(math.Hypot(dx, dy), range) when the pair is in
+// range and both nodes are alive, else 0. The walk mixes random-waypoint
+// steps (partial and whole-network folds), hand-made partial moves that
+// add and remove edges, SetDown flips and a battery death, and asserts
+// a→b and b→a agree. The patched neighbor rows are also pinned against a
+// second network built fresh at the same positions (whose snapshot can
+// only come from a full rebuild).
 func TestPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		eng := sim.NewEngine(seed)
@@ -255,36 +262,88 @@ func TestPatchedSnapshotQualityMatchesRebuild(t *testing.T) {
 		if !ok {
 			t.Fatal("rgg generation failed")
 		}
+		n := tp.N()
+		budgets := make([]float64, n)
+		budgets[2] = 0.004 // dies once charged past the headroom
+		ch := channel.Defaults()
 		nw := New(eng, Config{
 			Topo:    tp,
-			Channel: channel.Defaults(),
+			Channel: ch,
 			MAC:     mac.Defaults(),
 			Routing: routing.Defaults(),
 			Energy:  energy.JAVeLEN(),
+			Budgets: budgets,
 		})
+		reg := obs.New()
+		nw.Observe(reg)
 		mob := mobility.New(eng, tp, tp.Field, mobility.Defaults(5))
 		nw.Start()
 		mob.Start()
-		for step := 0; step < 5; step++ {
+		down := make([]bool, n)
+		dead := make([]bool, n)
+		alive := func(i int) bool { return !down[i] && !dead[i] }
+		rng := ch.Range
+		for step := 0; step < 8; step++ {
 			eng.RunFor(500 * sim.Millisecond)
+			switch step {
+			case 1:
+				nw.SetDown(packet.NodeID(n-1), true)
+				down[n-1] = true
+			case 2:
+				// Hand-made partial batch: one node jumps far away (drops
+				// every edge), one lands on another (gains its edges).
+				far := tp.Position(0)
+				tp.SetPosition(0, geom.Point{X: far.X + 1000, Y: far.Y})
+				tp.SetPosition(3, tp.Position(4))
+			case 3:
+				nw.Node(2).Meter.ChargeTx(1.0)
+				dead[2] = true
+			case 4:
+				nw.SetDown(packet.NodeID(n-1), false)
+				down[n-1] = false
+			case 5:
+				tp.SetPosition(0, tp.Position(5)) // back into the field
+			}
 			nw.Version() // bring the snapshot current via the patch path
+			if got := nw.BudgetExhausted(2); got != dead[2] {
+				t.Fatalf("seed %d step %d: node 2 exhausted=%v, want %v", seed, step, got, dead[2])
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					a, b := packet.NodeID(i), packet.NodeID(j)
+					dx := tp.Pos[i].X - tp.Pos[j].X
+					dy := tp.Pos[i].Y - tp.Pos[j].Y
+					want := 0.0
+					if i != j && alive(i) && alive(j) && dx*dx+dy*dy <= rng*rng {
+						want = channel.Quality(math.Hypot(dx, dy), rng)
+					}
+					got := nw.LinkQuality(a, b)
+					if got != want {
+						t.Fatalf("seed %d step %d: LinkQuality(%v,%v)=%v, oracle %v",
+							seed, step, a, b, got, want)
+					}
+					if back := nw.LinkQuality(b, a); back != got {
+						t.Fatalf("seed %d step %d: LinkQuality(%v,%v)=%v but (%v,%v)=%v",
+							seed, step, a, b, got, b, a, back)
+					}
+				}
+			}
 			fresh := New(sim.NewEngine(1), Config{
 				Topo:    tp.Clone(),
-				Channel: channel.Defaults(),
+				Channel: ch,
 				MAC:     mac.Defaults(),
 				Routing: routing.Defaults(),
 				Energy:  energy.JAVeLEN(),
 			})
-			n := nw.N()
+			fresh.ensureSnap()
 			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					a, b := packet.NodeID(i), packet.NodeID(j)
-					if got, want := nw.LinkQuality(a, b), fresh.LinkQuality(a, b); got != want {
-						t.Fatalf("seed %d step %d: LinkQuality(%v,%v)=%v patched, %v rebuilt",
-							seed, step, a, b, got, want)
-					}
+				if got, want := nw.snap.row(packet.NodeID(i)), fresh.snap.row(packet.NodeID(i)); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: patched row %d = %v, rebuilt %v", seed, step, i, got, want)
 				}
 			}
+		}
+		if snap := reg.Snapshot(); snap["linkstate_patch_epochs"] == 0 || snap["linkstate_full_rebuilds"] != 1 {
+			t.Fatalf("seed %d: link-state instruments %v, want patch epochs and exactly one rebuild", seed, snap)
 		}
 	}
 }
