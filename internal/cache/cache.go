@@ -88,9 +88,9 @@ type Cache struct {
 	policy   Policy
 	entries  []entry // slab; list links are slab indices
 	freeSlot []int32
-	head     int32 // most recently manipulated, -1 when empty
-	tail     int32 // least recently manipulated, -1 when empty
-	items    map[Key]int32
+	head     int32         // most recently manipulated, -1 when empty
+	tail     int32         // least recently manipulated, -1 when empty
+	items    map[Key]int32 // nil until the first Insert
 	stats    Stats
 	seed     int64        // Random policy only; rng is built on first draw
 	rng      *rand.Rand   // Random policy only
@@ -114,7 +114,6 @@ func NewWithPolicy(capacity int, policy Policy, seed int64) *Cache {
 		policy:   policy,
 		head:     -1,
 		tail:     -1,
-		items:    make(map[Key]int32),
 		seed:     seed,
 	}
 }
@@ -239,6 +238,9 @@ func (c *Cache) Insert(p *packet.Packet) {
 		}
 		c.stats.Updates++
 		return
+	}
+	if c.items == nil {
+		c.items = make(map[Key]int32)
 	}
 	for len(c.items) >= c.capacity {
 		c.evict()

@@ -81,12 +81,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 
 // validate cross-checks the checkpoint's structure against the campaign
 // it is about to resume: the frontier must lie inside the shard's run
-// window, the recorded matrix geometry must match, and every cell's
-// state must land on a real cell with the right axis arity. Violations
-// wrap ErrCorruptCheckpoint — they can only come from file damage that
-// happened to survive the JSON and fingerprint checks, and resuming
-// from them would index out of bounds or silently mis-fold.
-func (cp *Checkpoint) validate(numCells, numAxes, runsPerCell, specsLen int) error {
+// window, the recorded matrix geometry must match, the cells must be
+// exactly the shard's owned range [lo,hi), each once, with the right
+// axis arity, the run count the frontier implies and accumulator states
+// that pass the same checks the shard merge applies, and the totals
+// must equal the frontier and the cells' failures (so neither can be
+// negative). Violations wrap ErrCorruptCheckpoint — they can only come
+// from file damage that happened to survive the JSON and fingerprint
+// checks, and resuming from them would index out of bounds or silently
+// mis-fold.
+func (cp *Checkpoint) validate(numCells, numAxes, runsPerCell, specsLen, lo, hi int) error {
 	if cp.NextSeq < 0 || cp.NextSeq > specsLen {
 		return fmt.Errorf("frontier %d outside [0,%d]: %w", cp.NextSeq, specsLen, ErrCorruptCheckpoint)
 	}
@@ -94,15 +98,42 @@ func (cp *Checkpoint) validate(numCells, numAxes, runsPerCell, specsLen int) err
 		return fmt.Errorf("state geometry %d×%d, campaign is %d×%d: %w",
 			cp.State.NumCells, cp.State.RunsPerCell, numCells, runsPerCell, ErrCorruptCheckpoint)
 	}
+	if cp.State.Runs != cp.NextSeq {
+		return fmt.Errorf("%d runs folded at frontier %d: %w", cp.State.Runs, cp.NextSeq, ErrCorruptCheckpoint)
+	}
+	if len(cp.State.Cells) != hi-lo {
+		return fmt.Errorf("%d cells for the shard's %d: %w", len(cp.State.Cells), hi-lo, ErrCorruptCheckpoint)
+	}
+	seen := make([]bool, hi-lo)
+	failures := 0
 	for i := range cp.State.Cells {
 		sc := &cp.State.Cells[i]
-		if sc.Index < 0 || sc.Index >= numCells {
-			return fmt.Errorf("cell index %d outside [0,%d): %w", sc.Index, numCells, ErrCorruptCheckpoint)
+		if sc.Index < lo || sc.Index >= hi {
+			return fmt.Errorf("cell index %d outside the shard's cells [%d,%d): %w", sc.Index, lo, hi, ErrCorruptCheckpoint)
 		}
+		if seen[sc.Index-lo] {
+			return fmt.Errorf("cell %d listed twice: %w", sc.Index, ErrCorruptCheckpoint)
+		}
+		seen[sc.Index-lo] = true
 		if len(sc.Values) != numAxes {
 			return fmt.Errorf("cell %d has %d values for %d axes: %w",
 				sc.Index, len(sc.Values), numAxes, ErrCorruptCheckpoint)
 		}
+		if err := sc.validate(); err != nil {
+			return fmt.Errorf("cell %d: %v: %w", sc.Index, err, ErrCorruptCheckpoint)
+		}
+		// Folding is in order and cell-major, so the frontier fixes
+		// every cell's run count: full before it, partial at it, zero
+		// after it.
+		want := min(max(cp.NextSeq-(sc.Index-lo)*runsPerCell, 0), runsPerCell)
+		if sc.Runs != want || sc.Failures > sc.Runs {
+			return fmt.Errorf("cell %d holds %d runs (%d failed), frontier %d implies %d: %w",
+				sc.Index, sc.Runs, sc.Failures, cp.NextSeq, want, ErrCorruptCheckpoint)
+		}
+		failures += sc.Failures
+	}
+	if failures != cp.State.Failures {
+		return fmt.Errorf("cells hold %d failures, totals say %d: %w", failures, cp.State.Failures, ErrCorruptCheckpoint)
 	}
 	return nil
 }

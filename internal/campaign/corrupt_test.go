@@ -54,6 +54,34 @@ var corruptions = map[string]func(t *testing.T, path string){
 			state["numCells"] = 999
 		})
 	},
+	// Damage the merge already rejects: an impossible accumulator
+	// count, negative run counts, and one cell standing in for its
+	// neighbor.
+	"negative observable count": func(t *testing.T, path string) {
+		rewriteCheckpoint(t, path, func(m map[string]any) {
+			for _, st := range checkpointCell(m, 0)["observables"].(map[string]any) {
+				st.(map[string]any)["n"] = -4
+				break
+			}
+		})
+	},
+	"negative cell runs": func(t *testing.T, path string) {
+		rewriteCheckpoint(t, path, func(m map[string]any) { checkpointCell(m, 0)["runs"] = -7 })
+	},
+	"negative total failures": func(t *testing.T, path string) {
+		rewriteCheckpoint(t, path, func(m map[string]any) { m["state"].(map[string]any)["failures"] = -2 })
+	},
+	"duplicate cell": func(t *testing.T, path string) {
+		rewriteCheckpoint(t, path, func(m map[string]any) {
+			cells := m["state"].(map[string]any)["cells"].([]any)
+			cells[1] = cells[0]
+		})
+	},
+}
+
+// checkpointCell returns cell i of a decoded checkpoint's state.
+func checkpointCell(m map[string]any, i int) map[string]any {
+	return m["state"].(map[string]any)["cells"].([]any)[i].(map[string]any)
 }
 
 // rewriteCheckpoint round-trips the checkpoint JSON through a generic

@@ -208,7 +208,8 @@ func Execute(ctx context.Context, m Matrix, opt Options, fn RunFunc) (*Report, e
 			if cp.Fingerprint != fingerprint {
 				return nil, fmt.Errorf("campaign: checkpoint %s was written by a different campaign, seed schedule, or shard; refusing to resume", opt.Checkpoint)
 			}
-			if err := cp.validate(m.NumCells(), len(m.Axes), m.runsPerCell(), len(specs)); err != nil {
+			lo, hi := opt.Shard.CellRange(m.NumCells())
+			if err := cp.validate(m.NumCells(), len(m.Axes), m.runsPerCell(), len(specs), lo, hi); err != nil {
 				opt.warnf("campaign: checkpoint %s: %v; starting this shard cold", opt.Checkpoint, err)
 				cp = nil
 			}

@@ -56,12 +56,13 @@ func (d *driver) Attach(nw *node.Network, nc transport.NetConfig) error {
 		nc.Tune(&iCfg)
 	}
 	eng := nw.Engine()
+	clock := func() float64 { return eng.Now().Seconds() }
 	for _, nd := range nw.Nodes() {
 		id := nd.ID
 		pl := ijtp.New(id, iCfg, nd.Router, func(p *packet.Packet) bool {
 			return nw.SendFromFront(id, p)
 		})
-		pl.Clock = func() float64 { return eng.Now().Seconds() }
+		pl.Clock = clock
 		pl.Cache().SetPool(nw.PacketPool())
 		nd.MAC.AddPlugin(pl)
 		d.plugins = append(d.plugins, pl)

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"github.com/javelen/jtp/internal/topology"
 )
 
 // TestScenarioValidationErrors pins the error paths fuzzing uncovered:
@@ -35,6 +38,29 @@ func TestScenarioValidationErrors(t *testing.T) {
 		{"negative budget", func(sc *Scenario) { sc.EnergyBudgets = []float64{1, 1, -1, 1} }, "energyBudgets"},
 		{"event node range", func(sc *Scenario) { sc.Events = []NodeEvent{{At: 5, Node: 7, Down: true}} }, "events"},
 		{"negative event time", func(sc *Scenario) { sc.Events = []NodeEvent{{At: -5, Node: 1, Down: true}} }, "events"},
+		// Non-finite and clock-overflowing values: unchecked, they run
+		// silently empty (0 events, 0 J).
+		{"NaN seconds", func(sc *Scenario) { sc.Seconds = math.NaN() }, "seconds: not a number"},
+		{"infinite seconds", func(sc *Scenario) { sc.Seconds = math.Inf(1) }, "seconds: +Inf beyond the clock"},
+		{"overflowing seconds", func(sc *Scenario) { sc.Seconds = 1e12 }, "seconds: 1e+12 beyond the clock"},
+		{"NaN speed", func(sc *Scenario) { sc.MobilitySpeed = math.NaN() }, "mobilitySpeed: NaN"},
+		{"infinite speed", func(sc *Scenario) { sc.MobilitySpeed = math.Inf(1) }, "mobilitySpeed: +Inf"},
+		{"NaN start", func(sc *Scenario) { sc.Flows[0].StartAt = math.NaN() }, "startAt: not a number"},
+		{"NaN stop", func(sc *Scenario) { sc.Flows[0].StopAt = math.NaN() }, "stopAt: not a number"},
+		{"overflowing stop", func(sc *Scenario) { sc.Flows[0].StopAt = 1e300 }, "stopAt: 1e+300 beyond the clock"},
+		{"NaN tolerance", func(sc *Scenario) { sc.Flows[0].LossTolerance = math.NaN() }, "lossTolerance NaN"},
+		{"NaN budget", func(sc *Scenario) { sc.EnergyBudgets = []float64{1, math.NaN(), 1, 1} }, "energyBudgets[1]: NaN"},
+		{"infinite budget", func(sc *Scenario) { sc.EnergyBudgets = []float64{1, 1, math.Inf(1), 1} }, "energyBudgets[2]: +Inf"},
+		{"NaN event time", func(sc *Scenario) { sc.Events = []NodeEvent{{At: math.NaN(), Node: 1, Down: true}} }, "events[0]: at: not a number"},
+		{"overflowing event time", func(sc *Scenario) { sc.Events = []NodeEvent{{At: 1e12, Node: 1, Down: true}} }, "events[0]: at: 1e+12"},
+		{"non-finite explicit position", func(sc *Scenario) {
+			sc.Explicit = topology.Linear(4, 80)
+			sc.Explicit.Pos[2].Y = math.Inf(-1)
+		}, "explicit position 2: (160, -Inf) not finite"},
+		{"NaN explicit position", func(sc *Scenario) {
+			sc.Explicit = topology.Linear(4, 80)
+			sc.Explicit.Pos[1].X = math.NaN()
+		}, "explicit position 1: (NaN, 0) not finite"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 func TestPickEndpointsExplicit(t *testing.T) {
 	topo := topology.Linear(5, 80)
 	eng := sim.NewEngine(1)
-	src, dst := pickEndpoints(FlowSpec{Src: 1, Dst: 3}, Scenario{Nodes: 5}, eng, topo, 100)
+	src, dst := pickEndpoints(FlowSpec{Src: 1, Dst: 3}, Scenario{Nodes: 5}, eng, topo, 100, new([]int32))
 	if src != 1 || dst != 3 {
 		t.Fatalf("explicit endpoints changed: %d->%d", src, dst)
 	}
@@ -25,8 +25,9 @@ func TestPickEndpointsRandomDistinctReachable(t *testing.T) {
 	if !ok {
 		t.Fatal("no connected topology")
 	}
+	var comp []int32
 	for i := 0; i < 50; i++ {
-		src, dst := pickEndpoints(FlowSpec{Src: -1, Dst: -1}, Scenario{Nodes: 12}, eng, topo, 100)
+		src, dst := pickEndpoints(FlowSpec{Src: -1, Dst: -1}, Scenario{Nodes: 12}, eng, topo, 100, &comp)
 		if src == dst {
 			t.Fatal("random endpoints identical")
 		}

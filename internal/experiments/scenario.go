@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/javelen/jtp/internal/cache"
@@ -437,8 +438,9 @@ func BuildScenario(sc Scenario, hooks Hooks) (*BuiltScenario, error) {
 
 	// ---- Flows -------------------------------------------------------
 	b := &BuiltScenario{sc: sc, eng: eng, nw: nw, drv: drv}
+	var comp []int32 // component labels, computed at the first random pick
 	for i, spec := range sc.Flows {
-		src, dst := pickEndpoints(spec, sc, eng, topo, chCfg.Range)
+		src, dst := pickEndpoints(spec, sc, eng, topo, chCfg.Range, &comp)
 		spec.Src, spec.Dst = src, dst
 
 		tSpec := transport.FlowSpec{
@@ -493,18 +495,28 @@ func (sc *Scenario) validate() error {
 	if sc.Nodes > MaxNodes {
 		return fmt.Errorf("experiments: scenario %q: nodes: %d too large (max %d, the uint16 node-id space)", sc.Name, sc.Nodes, MaxNodes)
 	}
-	if sc.Seconds <= 0 {
+	if err := checkTime(sc.Seconds); err != nil {
+		return fmt.Errorf("experiments: scenario %q: seconds: %v", sc.Name, err)
+	}
+	if sc.Seconds == 0 {
 		return fmt.Errorf("experiments: scenario %q: seconds: %g not positive (the run would be empty)", sc.Name, sc.Seconds)
 	}
-	if sc.MobilitySpeed < 0 {
-		return fmt.Errorf("experiments: scenario %q: mobilitySpeed: negative %g", sc.Name, sc.MobilitySpeed)
+	if !(sc.MobilitySpeed >= 0) || math.IsInf(sc.MobilitySpeed, 1) {
+		return fmt.Errorf("experiments: scenario %q: mobilitySpeed: %g is not a finite speed ≥ 0", sc.Name, sc.MobilitySpeed)
+	}
+	if sc.Explicit != nil {
+		for i, p := range sc.Explicit.Pos {
+			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				return fmt.Errorf("experiments: scenario %q: explicit position %d: (%g, %g) not finite", sc.Name, i, p.X, p.Y)
+			}
+		}
 	}
 	if n := len(sc.EnergyBudgets); n != 0 && n != sc.Nodes {
 		return fmt.Errorf("experiments: scenario %q: energyBudgets: %d entries for %d nodes", sc.Name, n, sc.Nodes)
 	}
 	for i, b := range sc.EnergyBudgets {
-		if b < 0 {
-			return fmt.Errorf("experiments: scenario %q: energyBudgets[%d]: negative %g", sc.Name, i, b)
+		if !(b >= 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("experiments: scenario %q: energyBudgets[%d]: %g is not a finite budget ≥ 0", sc.Name, i, b)
 		}
 	}
 	for i, f := range sc.Flows {
@@ -515,15 +527,18 @@ func (sc *Scenario) validate() error {
 		if f.Src >= 0 && f.Src == f.Dst {
 			return fmt.Errorf("experiments: scenario %q: flows[%d]: src == dst == %d", sc.Name, i, f.Src)
 		}
-		if f.LossTolerance < 0 || f.LossTolerance >= 1 {
+		if !(f.LossTolerance >= 0 && f.LossTolerance < 1) {
 			return fmt.Errorf("experiments: scenario %q: flows[%d]: lossTolerance %g outside [0,1)", sc.Name, i, f.LossTolerance)
 		}
-		if f.StartAt < 0 {
-			return fmt.Errorf("experiments: scenario %q: flows[%d]: startAt: negative %g", sc.Name, i, f.StartAt)
+		if err := checkTime(f.StartAt); err != nil {
+			return fmt.Errorf("experiments: scenario %q: flows[%d]: startAt: %v", sc.Name, i, err)
 		}
 		if f.StartAt >= sc.Seconds {
 			return fmt.Errorf("experiments: scenario %q: flows[%d]: startAt %g not before end of run %g (the flow would never run)",
 				sc.Name, i, f.StartAt, sc.Seconds)
+		}
+		if err := checkTime(f.StopAt); f.StopAt != 0 && err != nil {
+			return fmt.Errorf("experiments: scenario %q: flows[%d]: stopAt: %v", sc.Name, i, err)
 		}
 		if f.TotalPackets < 0 {
 			return fmt.Errorf("experiments: scenario %q: flows[%d]: totalPackets: negative %d", sc.Name, i, f.TotalPackets)
@@ -533,9 +548,27 @@ func (sc *Scenario) validate() error {
 		if ev.Node < 0 || ev.Node >= sc.Nodes {
 			return fmt.Errorf("experiments: scenario %q: events[%d]: node %d outside [0,%d)", sc.Name, i, ev.Node, sc.Nodes)
 		}
-		if ev.At < 0 {
-			return fmt.Errorf("experiments: scenario %q: events[%d]: at: negative %g", sc.Name, i, ev.At)
+		if err := checkTime(ev.At); err != nil {
+			return fmt.Errorf("experiments: scenario %q: events[%d]: at: %v", sc.Name, i, err)
 		}
+	}
+	return nil
+}
+
+// maxSeconds is the latest time a scenario can name: the simulation
+// clock counts int64 nanoseconds.
+const maxSeconds = float64(math.MaxInt64 / int64(sim.Second))
+
+// checkTime rejects a scenario time in seconds that is NaN, negative, or
+// past maxSeconds (where the conversion to the clock would overflow).
+func checkTime(v float64) error {
+	switch {
+	case math.IsNaN(v):
+		return fmt.Errorf("not a number")
+	case v < 0:
+		return fmt.Errorf("negative %g", v)
+	case v > maxSeconds:
+		return fmt.Errorf("%g beyond the clock's %.0f s", v, maxSeconds)
 	}
 	return nil
 }
@@ -687,7 +720,11 @@ func (b *BuiltScenario) collectObs(reg *obs.Registry) {
 }
 
 // pickEndpoints resolves -1 endpoints to random distinct reachable nodes.
-func pickEndpoints(spec FlowSpec, sc Scenario, eng *sim.Engine, topo *topology.Topology, rng float64) (int, int) {
+// Reachability is read from one component labeling of topo, computed at
+// the first random probe and kept in *comp for the scenario's later
+// flows; positions do not change while a scenario is built, so the
+// labeling stays exact.
+func pickEndpoints(spec FlowSpec, sc Scenario, eng *sim.Engine, topo *topology.Topology, rng float64, comp *[]int32) (int, int) {
 	src, dst := spec.Src, spec.Dst
 	if src >= 0 && dst >= 0 {
 		return src, dst
@@ -700,12 +737,15 @@ func pickEndpoints(spec FlowSpec, sc Scenario, eng *sim.Engine, topo *topology.T
 			continue
 		}
 		if sc.LegacyBaseline {
-			// Historical baseline: HopDistance used to materialize (and
-			// sort) the full adjacency before its BFS. Price that build;
-			// the distance itself is unchanged.
+			// Historical baseline: every probe's reachability BFS used to
+			// materialize (and sort) the full adjacency. Price that build;
+			// the verdict itself is unchanged.
 			_ = topology.Adjacency(topo, rng)
 		}
-		if topology.HopDistance(topo, rng, packet.NodeID(a), packet.NodeID(b)) >= 1 {
+		if *comp == nil {
+			*comp = topology.Components(topo, rng)
+		}
+		if (*comp)[a] == (*comp)[b] {
 			return a, b
 		}
 	}

@@ -272,7 +272,9 @@ type MAC struct {
 
 	// queue is a fixed-capacity ring buffer of QueueCap frames: head is
 	// the next frame to transmit, frames push at the tail (or, for cache
-	// retransmissions, at the head) with no copying or allocation.
+	// retransmissions, at the head) with no copying or allocation. It is
+	// allocated at the first enqueue: most nodes of a large field never
+	// transmit.
 	queue []*Frame
 	qhead int
 	qlen  int
@@ -281,6 +283,8 @@ type MAC struct {
 	// allocates no frames.
 	frFree []*Frame
 
+	// links is created at the first per-neighbor estimate (nil until
+	// then; reads of a nil map are safe).
 	links map[packet.NodeID]*linkStats
 
 	idleFrac    stats.EWMA // fraction of owned slots with nothing to send
@@ -331,8 +335,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config, model energy.Model, mete
 		env:   env,
 		model: model,
 		meter: meter,
-		queue: make([]*Frame, cfg.QueueCap),
-		links: make(map[packet.NodeID]*linkStats),
 	}
 	m.idleFrac = *stats.NewEWMA(cfg.IdleAlpha)
 	m.idleFrac.Set(1)
@@ -403,6 +405,7 @@ func (m *MAC) Enqueue(seg Segment, nextHop packet.NodeID) bool {
 		m.dropFull(seg, nextHop)
 		return false
 	}
+	m.ensureQueue()
 	tail := m.qhead + m.qlen
 	if tail >= len(m.queue) {
 		tail -= len(m.queue)
@@ -422,6 +425,7 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 		m.dropFull(seg, nextHop)
 		return false
 	}
+	m.ensureQueue()
 	m.qhead--
 	if m.qhead < 0 {
 		m.qhead += len(m.queue)
@@ -433,6 +437,13 @@ func (m *MAC) EnqueueFront(seg Segment, nextHop packet.NodeID) bool {
 	return true
 }
 
+// ensureQueue allocates the transmit ring at its first use.
+func (m *MAC) ensureQueue() {
+	if m.queue == nil {
+		m.queue = make([]*Frame, m.cfg.QueueCap)
+	}
+}
+
 // QueueLen returns the number of frames waiting.
 func (m *MAC) QueueLen() int { return m.qlen }
 
@@ -442,6 +453,9 @@ func (m *MAC) link(to packet.NodeID) *linkStats {
 	if !ok {
 		ls = &linkStats{loss: *stats.NewEWMA(m.cfg.LossAlpha)}
 		ls.loss.Set(m.cfg.PrimeLoss)
+		if m.links == nil {
+			m.links = make(map[packet.NodeID]*linkStats)
+		}
 		m.links[to] = ls
 	}
 	return ls

@@ -470,3 +470,38 @@ func TestAllocsOwnSlotObserved(t *testing.T) {
 		t.Fatal("telemetry registry saw no frame completions")
 	}
 }
+
+// TestLazyQueueAndLinks pins the per-node footprint of an idle MAC: a
+// fresh MAC holds no transmit ring and no link-stats map, ClearQueue and
+// OwnSlot work on it as on an empty queue, and the first Enqueue or
+// EnqueueFront allocates the ring at QueueCap slots.
+func TestLazyQueueAndLinks(t *testing.T) {
+	for _, front := range []bool{false, true} {
+		_, env, m0, _ := build(t)
+		if m0.queue != nil || m0.links != nil {
+			t.Fatalf("fresh MAC holds a %d-slot ring and a %d-entry link map, want neither", len(m0.queue), len(m0.links))
+		}
+		m0.ClearQueue()
+		m0.OwnSlot() // idle slot on a never-used MAC
+		if m0.queue != nil || m0.QueueLen() != 0 || len(env.delivered) != 0 {
+			t.Fatal("ClearQueue/OwnSlot on an unused MAC changed its queue")
+		}
+		seg := &stubSeg{size: 100, src: 0, dst: 1}
+		if front {
+			m0.EnqueueFront(seg, 1)
+		} else {
+			m0.Enqueue(seg, 1)
+		}
+		if len(m0.queue) != m0.cfg.QueueCap || m0.QueueLen() != 1 {
+			t.Fatalf("front=%v: first enqueue left a %d-slot ring holding %d frames, want %d slots holding 1",
+				front, len(m0.queue), m0.QueueLen(), m0.cfg.QueueCap)
+		}
+		if len(m0.links) != 1 {
+			t.Fatalf("front=%v: %d link stats after one enqueue, want 1", front, len(m0.links))
+		}
+		m0.OwnSlot()
+		if len(env.delivered) != 1 || env.delivered[0].Seg != seg {
+			t.Fatalf("front=%v: lazily allocated ring did not deliver its frame", front)
+		}
+	}
+}

@@ -92,7 +92,7 @@ type Node struct {
 	MAC    *mac.MAC
 	Router *routing.Router
 
-	endpoints map[packet.FlowID]Transport
+	endpoints map[packet.FlowID]Transport // nil until the first Bind
 	count     Counters
 	net       *Network
 }
@@ -216,7 +216,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	nw.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
-		nd := &Node{ID: id, endpoints: make(map[packet.FlowID]Transport), net: nw}
+		nd := &Node{ID: id, net: nw}
 		nd.MAC = mac.New(eng, id, cfg.MAC, cfg.Energy, &nd.Meter, nw)
 		nd.Router = routing.New(eng, id, nw, cfg.Routing)
 		nd.Router.UseShared(nw.views)
@@ -406,8 +406,9 @@ func (nw *Network) ensureSnap() {
 
 // rebuildSnap recomputes the grid and every neighbor row from the
 // current positions: one grid pass plus one 9-cell candidate gather per
-// node, O(V+E). Buffers are reused, so a rebuild at steady size
-// allocates nothing. Every rebuild advances the link-state version.
+// node, O(V+E). Row buffers are reused; the grid re-carves its cells
+// from one fresh O(n) array. Every rebuild advances the link-state
+// version.
 func (nw *Network) rebuildSnap(epoch uint64) {
 	s := &nw.snap
 	n := nw.topo.N()
@@ -809,7 +810,11 @@ func (n *Node) forward(seg mac.Segment) {
 // Bind registers a transport endpoint for a flow on a node. Delivery is
 // keyed on (node, flow); both ends of a connection bind the same flow id.
 func (nw *Network) Bind(id packet.NodeID, flow packet.FlowID, tr Transport) {
-	nw.nodes[int(id)].endpoints[flow] = tr
+	nd := nw.nodes[int(id)]
+	if nd.endpoints == nil {
+		nd.endpoints = make(map[packet.FlowID]Transport)
+	}
+	nd.endpoints[flow] = tr
 }
 
 // Unbind removes a flow endpoint.

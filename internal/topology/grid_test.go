@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -76,49 +77,150 @@ func gridTestFamilies(seed int64) map[string]*Topology {
 	}
 }
 
-// TestSpatialGridAdjacencyElementIdentical pins the grid-hash adjacency
+// TestSpatialGridAdjacencyElementIdentical pins the grid adjacency
 // element-identical to the brute-force O(n²) oracle across topology
 // families × seeds × radio ranges — including a zero range (only
 // coincident nodes adjacent), a negative range (same disk as its
 // magnitude, matching the squared-distance predicate), ranges that put
 // lattice nodes exactly on cell boundaries, and random-waypoint-style
 // mobility steps maintained through incremental Move calls rather than
-// rebuilds.
+// rebuilds. The edge layouts cover the dense array's clamping and cap:
+// nodes moved far outside the field (and to non-finite coordinates), a
+// field so large for its range that the cell cap doubles the side, and
+// a zero-size field.
 func TestSpatialGridAdjacencyElementIdentical(t *testing.T) {
 	ranges := []float64{0, -100, 25, 80, 100, 250, 1e9}
 	for _, seed := range []int64{1, 7, 42} {
 		for name, tp := range gridTestFamilies(seed) {
 			for _, r := range ranges {
-				g := NewSpatialGrid(tp, gridSideFor(r))
-				requireSameAdjacency(t, name, gridRows(g, tp, r), bruteAdjacency(tp, r))
-
-				// Mobility: jitter a third of the nodes per step, snapping
-				// some onto exact cell-boundary coordinates, and keep the
-				// grid current with Move only.
 				mrng := rand.New(rand.NewSource(seed*1000 + int64(len(name))))
-				for step := 0; step < 5; step++ {
-					for i := 0; i < tp.N(); i++ {
-						if mrng.Intn(3) != 0 {
-							continue
-						}
-						id := packet.NodeID(i)
-						p := geom.Point{
-							X: (mrng.Float64() - 0.5) * 600,
-							Y: (mrng.Float64() - 0.5) * 600,
-						}
-						if mrng.Intn(4) == 0 {
-							// Exactly on a cell corner (multiples of the side).
-							p.X = float64(mrng.Intn(7)-3) * g.Side()
-							p.Y = float64(mrng.Intn(7)-3) * g.Side()
-						}
-						tp.SetPosition(id, p)
-						g.Move(id)
-					}
-					requireSameAdjacency(t, name,
-						gridRows(g, tp, r), bruteAdjacency(tp, r))
-				}
+				requireGridMatchesBrute(t, name, tp, r, mrng, 600)
 			}
 		}
+	}
+
+	// Far outside the field: a 20 km spread around a ~1 km field puts
+	// most moved nodes in the clamped edge cells.
+	for _, seed := range []int64{3, 9} {
+		for _, r := range []float64{50, 100, 400} {
+			tp := GridN(36, 90)
+			requireGridMatchesBrute(t, "outside", tp, r, rand.New(rand.NewSource(seed)), 20000)
+		}
+	}
+	// Non-finite coordinates, at build time and after moves: they size
+	// nothing, clamp into edge cells, and are adjacent to no one.
+	nonFinite := GridN(25, 70)
+	nonFinite.Pos[3] = geom.Point{X: math.NaN(), Y: 10}
+	nonFinite.Pos[7] = geom.Point{X: math.Inf(1), Y: math.Inf(-1)}
+	nonFinite.Pos[11] = geom.Point{X: 1e300, Y: -1e300}
+	g := NewSpatialGrid(nonFinite, gridSideFor(100))
+	requireSameAdjacency(t, "non-finite", gridRows(g, nonFinite, 100), bruteAdjacency(nonFinite, 100))
+	for i, p := range []geom.Point{{X: math.Inf(-1), Y: 5}, {X: 30, Y: math.NaN()}, {X: 140, Y: 70}} {
+		nonFinite.SetPosition(packet.NodeID(2*i), p)
+		g.Move(packet.NodeID(2 * i))
+	}
+	requireSameAdjacency(t, "non-finite moved", gridRows(g, nonFinite, 100), bruteAdjacency(nonFinite, 100))
+
+	// Cell cap: a 0.5 m range on a 40-node field of several km would
+	// need millions of range-sided cells; the side doubles instead.
+	rng := rand.New(rand.NewSource(5))
+	capped, _ := Random(40, 100, rng, 1)
+	for i := range capped.Pos {
+		if i%2 == 1 { // pairs of nearly coincident nodes
+			capped.Pos[i] = geom.Point{X: capped.Pos[i-1].X + 0.3, Y: capped.Pos[i-1].Y}
+		}
+	}
+	for _, r := range []float64{0.5, 0.25} {
+		g := NewSpatialGrid(capped, gridSideFor(r))
+		if g.Side() <= r || float64(len(g.cells)) > maxCells(capped.N()) {
+			t.Fatalf("range %g: side %g with %d cells, want side > range and ≤ %g cells",
+				r, g.Side(), len(g.cells), maxCells(capped.N()))
+		}
+		requireGridMatchesBrute(t, "capped", capped.Clone(), r, rand.New(rand.NewSource(11)), 3000)
+	}
+
+	// Zero-size field: every node at one point, no field extent.
+	zero := &Topology{Pos: make([]geom.Point, 9)}
+	for _, r := range []float64{0, 1, 100} {
+		requireGridMatchesBrute(t, "zero-size", zero.Clone(), r, rand.New(rand.NewSource(2)), 1)
+	}
+}
+
+// requireGridMatchesBrute builds a grid over tp, pins its rows to the
+// brute-force oracle, then runs five mobility steps — a third of the
+// nodes jittered uniformly over a spread-wide square around the origin,
+// some snapped onto exact cell corners — keeping the grid current with
+// Move only and re-checking after each.
+func requireGridMatchesBrute(t *testing.T, name string, tp *Topology, r float64, mrng *rand.Rand, spread float64) {
+	t.Helper()
+	g := NewSpatialGrid(tp, gridSideFor(r))
+	requireSameAdjacency(t, name, gridRows(g, tp, r), bruteAdjacency(tp, r))
+	for step := 0; step < 5; step++ {
+		for i := 0; i < tp.N(); i++ {
+			if mrng.Intn(3) != 0 {
+				continue
+			}
+			id := packet.NodeID(i)
+			p := geom.Point{
+				X: (mrng.Float64() - 0.5) * spread,
+				Y: (mrng.Float64() - 0.5) * spread,
+			}
+			if mrng.Intn(4) == 0 {
+				// Exactly on a cell corner (multiples of the side).
+				p.X = float64(mrng.Intn(7)-3) * g.Side()
+				p.Y = float64(mrng.Intn(7)-3) * g.Side()
+			}
+			tp.SetPosition(id, p)
+			g.Move(id)
+		}
+		requireSameAdjacency(t, name, gridRows(g, tp, r), bruteAdjacency(tp, r))
+	}
+}
+
+// TestComponentsMatchHopDistance pins the one-sweep component labeling
+// to the HopDistance oracle on connected and disconnected layouts: two
+// nodes share a label exactly when a path joins them, and labels are
+// numbered by each component's smallest id.
+func TestComponentsMatchHopDistance(t *testing.T) {
+	layouts := gridTestFamilies(13)
+	layouts["islands"] = Linear(12, 150) // every node isolated at range 100
+	pairs := Linear(10, 60)
+	for i := range pairs.Pos {
+		pairs.Pos[i].X = float64(i/2)*500 + float64(i%2)*60 // five 2-node islands
+	}
+	layouts["pairs"] = pairs
+	layouts["single"] = Linear(1, 80)
+	for name, tp := range layouts {
+		// 80 and 90 are the chain and lattice spacings: neighbors sit
+		// exactly at the range, on the predicate's boundary.
+		for _, r := range []float64{0, 50, 80, 90, 100, 250} {
+			comp := Components(tp, r)
+			if len(comp) != tp.N() {
+				t.Fatalf("%s r=%g: %d labels for %d nodes", name, r, len(comp), tp.N())
+			}
+			next := int32(0)
+			for a := 0; a < tp.N(); a++ {
+				if comp[a] > next {
+					t.Fatalf("%s r=%g: node %d labeled %d before label %d appeared", name, r, a, comp[a], next)
+				}
+				if comp[a] == next {
+					next++
+				}
+				for b := 0; b < tp.N(); b++ {
+					reach := HopDistance(tp, r, packet.NodeID(a), packet.NodeID(b)) >= 0
+					if (comp[a] == comp[b]) != reach {
+						t.Fatalf("%s r=%g: nodes %d,%d labels %d,%d but reachable=%v",
+							name, r, a, b, comp[a], comp[b], reach)
+					}
+				}
+			}
+			if Connected(tp, r) != (next == 1) {
+				t.Fatalf("%s r=%g: Connected=%v with %d components", name, r, Connected(tp, r), next)
+			}
+		}
+	}
+	if got := Components(&Topology{}, 100); len(got) != 0 {
+		t.Fatalf("empty topology labels = %v", got)
 	}
 }
 

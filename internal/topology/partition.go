@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"sort"
 
 	"github.com/javelen/jtp/internal/sim"
@@ -10,14 +11,26 @@ import (
 // deterministic spatial partition of the node set and the conservative
 // lookahead bound the kernel synchronizes on.
 
+// cellCoord buckets one coordinate. Floor (not truncation) keeps the
+// mapping consistent across negative coordinates.
+func cellCoord(v, side float64) int32 {
+	return int32(math.Floor(v / side))
+}
+
+// packCell packs signed cell coordinates into one sort key; the uint32
+// casts make the packing a bijection on int32 pairs.
+func packCell(cx, cy int32) uint64 {
+	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
+}
+
 // PartitionByCell assigns every node to one of parts partitions, seeded
-// by the spatial-hash grid cells: nodes are keyed by the grid cell their
-// position falls in (the same side-length rule the SpatialGrid uses, so
-// one cell is one radio-range square), ordered by (cell, id), and split
-// into contiguous balanced chunks. Nodes sharing a cell therefore land in
-// the same partition except at chunk boundaries, partition sizes differ
-// by at most one, and the assignment is a pure function of the positions
-// — identical for every run of the same scenario.
+// by grid cells: nodes are keyed by the radio-range square their
+// position falls in (unclamped, over the whole plane), ordered by
+// (cell, id), and split into contiguous balanced chunks. Nodes sharing a
+// cell therefore land in the same partition except at chunk boundaries,
+// partition sizes differ by at most one, and the assignment is a pure
+// function of the positions — identical for every run of the same
+// scenario.
 //
 // The returned slice maps node id to partition index. parts is clamped
 // to [1, n] so empty partitions never exist.

@@ -299,42 +299,61 @@ func Adjacency(t *Topology, radioRange float64) [][]packet.NodeID {
 }
 
 // Connected reports whether the unit-disk graph under the given range is
-// connected. Lazy traversal over grid candidates: no per-node adjacency
-// rows are materialized or sorted (connectivity is order-independent),
-// which matters because topology.Random re-checks every rejected
-// placement at bench-tier sizes.
+// connected: whether Components labels every node 0.
 func Connected(t *Topology, radioRange float64) bool {
+	for _, c := range Components(t, radioRange) {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Components labels every node with its connected component under the
+// given range: one BFS sweep over grid candidates with HopDistance's
+// predicate (squared distance ≤ squared range), so comp[a] == comp[b]
+// exactly when HopDistance(a, b) ≥ 0. Labels are dense and numbered in
+// order of each component's smallest node id. Candidates are expanded
+// lazily — no adjacency rows are materialized or sorted, since
+// reachability does not depend on visit order.
+func Components(t *Topology, radioRange float64) []int32 {
 	n := t.N()
-	if n <= 1 {
-		return true
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
 	}
 	g := NewSpatialGrid(t, gridSideFor(radioRange))
 	r2 := radioRange * radioRange
-	seen := make([]bool, n)
-	queue := []packet.NodeID{0}
-	seen[0] = true
-	count := 1
-	var cand []packet.NodeID
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		cand = g.AppendCandidates(cand[:0], v)
-		for _, w := range cand {
-			if !seen[w] && w != v && t.Pos[int(v)].Dist2(t.Pos[int(w)]) <= r2 {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
+	var queue, cand []packet.NodeID
+	label := int32(0)
+	for s := range comp {
+		if comp[s] >= 0 {
+			continue
+		}
+		comp[s] = label
+		queue = append(queue[:0], packet.NodeID(s))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			cand = g.AppendCandidates(cand[:0], v)
+			for _, w := range cand {
+				if comp[w] < 0 && t.Pos[int(v)].Dist2(t.Pos[int(w)]) <= r2 {
+					comp[w] = label
+					queue = append(queue, w)
+				}
 			}
 		}
+		label++
 	}
-	return count == n
+	return comp
 }
 
 // HopDistance returns the minimum hop count between two nodes under the
-// given range, or -1 if unreachable. BFS; used by tests and flow
-// placement. Like Connected it expands grid candidates lazily instead of
-// materializing the full adjacency — BFS layer order makes the hop count
-// independent of within-row visit order, and the early exit at b means a
-// nearby pair never touches most of the graph.
+// given range, or -1 if unreachable. BFS; tests use it as the oracle
+// for Components and flow placement. Like Components it expands grid
+// candidates lazily instead of materializing the full adjacency — BFS
+// layer order makes the hop count independent of within-row visit
+// order, and the early exit at b means a nearby pair never touches most
+// of the graph.
 func HopDistance(t *Topology, radioRange float64, a, b packet.NodeID) int {
 	if a == b {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/javelen/jtp/internal/cache"
 	"github.com/javelen/jtp/internal/channel"
@@ -191,6 +192,14 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	}
 	if cfg.Nodes > packet.MaxNodes {
 		return nil, fmt.Errorf("%w: %d nodes exceed the %d-node id space", ErrBadConfig, cfg.Nodes, packet.MaxNodes)
+	}
+	for i, p := range cfg.Positions {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("%w: position %d (%g, %g) is not finite", ErrBadConfig, i, p.X, p.Y)
+		}
+	}
+	if math.IsNaN(cfg.MobilitySpeed) || math.IsInf(cfg.MobilitySpeed, 0) {
+		return nil, fmt.Errorf("%w: mobility speed %g is not finite", ErrBadConfig, cfg.MobilitySpeed)
 	}
 	seed := cfg.Seed
 	if seed == 0 {

@@ -2,6 +2,7 @@ package jtp
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,21 @@ func TestNewSimValidation(t *testing.T) {
 	}
 	if _, err := NewSim(SimConfig{Positions: pos}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("65537 explicit positions: %v", err)
+	}
+	// Non-finite geometry is a configuration error, not a silently
+	// disconnected or motionless network.
+	for _, bad := range []Position{{X: math.NaN()}, {Y: math.Inf(1)}, {X: math.Inf(-1)}} {
+		pts := []Position{{X: 0}, bad, {X: 80}}
+		_, err := NewSim(SimConfig{Positions: pts})
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "position 1") {
+			t.Fatalf("position %v: %v", bad, err)
+		}
+	}
+	for _, speed := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewSim(SimConfig{Nodes: 4, MobilitySpeed: speed})
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "mobility speed") {
+			t.Fatalf("mobility speed %g: %v", speed, err)
+		}
 	}
 }
 
